@@ -72,8 +72,15 @@ func (c sourceCatalog) RelationSchema(name string) (schema.Relation, bool) {
 	return r.Schema(), true
 }
 
-// CatalogOf wraps a Source as an algebra.Catalog.
-func CatalogOf(src Source) algebra.Catalog { return sourceCatalog{src: src} }
+// CatalogOf wraps a Source as an algebra.Catalog.  A Source that resolves
+// schemas itself (storage engine, snapshots, transactions) is its own
+// catalog, so a schema lookup never materialises a relation.
+func CatalogOf(src Source) algebra.Catalog {
+	if c, ok := src.(algebra.Catalog); ok {
+		return c
+	}
+	return sourceCatalog{src: src}
+}
 
 // sourceCards adapts a Source into the planner's cardinality provider, so the
 // cost model ranks plans on the actual table sizes of the database being
@@ -114,8 +121,16 @@ func (c sourceCards) TableStats(name string) (*stats.Table, bool) {
 	return nil, false
 }
 
-// Cardinalities wraps a Source as a plan.CardinalitySource.
-func Cardinalities(src Source) plan.CardinalitySource { return sourceCards{src: src} }
+// Cardinalities wraps a Source as a plan.CardinalitySource.  A Source that
+// counts its relations itself (storage engine, snapshots, transactions —
+// whose counts are base counts − |remove| + |add| of a pending delta) is its
+// own cardinality source, so planning never materialises a relation.
+func Cardinalities(src Source) plan.CardinalitySource {
+	if c, ok := src.(plan.CardinalitySource); ok {
+		return c
+	}
+	return sourceCards{src: src}
+}
 
 // StatsSource decorates a Source with precomputed per-relation statistics, so
 // callers without a storage database underneath (benchmarks over MapSource,

@@ -30,7 +30,8 @@ const chainEnd = int32(-1)
 // entry is one slot of the hash table: a representative tuple, its cached
 // hash, its multiplicity, and the index of the next entry with the same hash.
 // An entry whose count is zero is a tombstone left behind by Remove; it is
-// skipped by iteration and revived in place if the tuple is re-added.
+// skipped by iteration, revived in place if the tuple is re-added, and
+// dropped when a copy-on-write clone compacts the table.
 type entry struct {
 	tup   tuple.Tuple
 	hash  uint64
@@ -52,7 +53,22 @@ func newTable(capacity int) *table {
 	return &table{index: make(map[uint64]int32, capacity), entries: make([]entry, 0, capacity)}
 }
 
+// clone returns a private copy of the table.  When tombstones make up at
+// least half of the arena the copy is compacted instead: only live entries
+// are re-inserted, so a relation that is repeatedly updated (every update
+// tombstones one entry and appends another) keeps its arena, index and every
+// later scan, morsel range and clone within twice its live size.  The copy
+// is paid for anyway, so compaction costs nothing extra.
 func (t *table) clone() *table {
+	if dead := len(t.entries) - t.live; dead > 0 && dead >= t.live {
+		c := newTable(t.live)
+		for i := range t.entries {
+			if e := &t.entries[i]; e.count > 0 {
+				c.insert(e.hash, e.tup, e.count)
+			}
+		}
+		return c
+	}
 	return &table{index: maps.Clone(t.index), entries: slices.Clone(t.entries), live: t.live, total: t.total}
 }
 
@@ -82,6 +98,37 @@ func (t *table) insert(h uint64, tup tuple.Tuple, n uint64) {
 	t.entries = append(t.entries, entry{tup: tup, hash: h, count: n, next: head})
 	t.live++
 	t.total += n
+}
+
+// count returns the multiplicity of tup (whose hash is h).
+func (t *table) count(h uint64, tup tuple.Tuple) uint64 {
+	if i := t.find(h, tup); i != chainEnd {
+		return t.entries[i].count
+	}
+	return 0
+}
+
+// take removes up to n occurrences of tup (whose hash is h), clamping at its
+// multiplicity (monus), and returns the number actually removed.  A fully
+// removed entry stays behind as a tombstone.
+func (t *table) take(h uint64, tup tuple.Tuple, n uint64) uint64 {
+	i := t.find(h, tup)
+	if i == chainEnd {
+		return 0
+	}
+	e := &t.entries[i]
+	if n > e.count {
+		n = e.count
+	}
+	if n == 0 {
+		return 0
+	}
+	e.count -= n
+	t.total -= n
+	if e.count == 0 {
+		t.live--
+	}
+	return n
 }
 
 // add increases the multiplicity of tup (whose hash is h) by n, reviving a
@@ -171,22 +218,7 @@ func (r *Relation) Remove(t tuple.Tuple, n uint64) uint64 {
 		return 0
 	}
 	r.materialize()
-	tab := r.tab
-	i := tab.find(t.Hash(), t)
-	if i == chainEnd || tab.entries[i].count == 0 {
-		return 0
-	}
-	e := &tab.entries[i]
-	removed := n
-	if removed > e.count {
-		removed = e.count
-	}
-	e.count -= removed
-	tab.total -= removed
-	if e.count == 0 {
-		tab.live--
-	}
-	return removed
+	return r.tab.take(t.Hash(), t, n)
 }
 
 // SetMultiplicity forces R(t) = n, inserting or deleting the entry as needed.
@@ -292,8 +324,9 @@ func (r *Relation) EachBatch(size int, fn func(tuples []tuple.Tuple, counts []ui
 
 // EntrySpan returns the size of the relation's entry arena — the index domain
 // EachEntryRange iterates over.  The span counts tombstoned entries too, so it
-// is stable across reads and only grows under insertion; morsel-driven scans
-// cut [0, EntrySpan()) into work-stealing ranges.
+// is stable across reads; it grows under insertion and shrinks only when a
+// copy-on-write clone compacts the arena.  Morsel-driven scans cut
+// [0, EntrySpan()) into work-stealing ranges.
 func (r *Relation) EntrySpan() int { return len(r.tab.entries) }
 
 // EachEntryRange calls fn once per live tuple stored in arena positions

@@ -217,7 +217,7 @@ func (p *partitionNode) runMorsels(ctx *execCtx, q *exec.MorselQueue, emit EmitB
 	w := newBatchWriter(ctx.batchCap(), emit)
 	switch leaf := p.input.(type) {
 	case *scanNode:
-		r, err := leaf.lookup(ctx)
+		o, err := leaf.lookup(ctx)
 		if err != nil {
 			return err
 		}
@@ -233,7 +233,7 @@ func (p *partitionNode) runMorsels(ctx *execCtx, q *exec.MorselQueue, emit EmitB
 				break
 			}
 			var iterErr error
-			r.EachEntryRange(lo, hi, func(t tuple.Tuple, n uint64) bool {
+			o.EachEntryRange(lo, hi, func(t tuple.Tuple, n uint64) bool {
 				iterErr = w.push(t, n)
 				return iterErr == nil
 			})
@@ -306,13 +306,23 @@ func (ctx *execCtx) sharedBuild(j *hashJoinNode) *joinTable {
 // Workers must not call the parent's Source: transaction sources record the
 // relations they resolve (for commit validation) and are not safe for
 // concurrent use, so every scan leaf is resolved once, in the parent
-// goroutine, before the gang starts.
-type snapshotSource map[string]*multiset.Relation
+// goroutine, before the gang starts.  The overlays it holds are read-only
+// and shared by all workers.
+type snapshotSource map[string]multiset.Overlay
 
-// Relation implements Source.
+// Relation implements Source with a materialised copy; scans read Overlay.
 func (s snapshotSource) Relation(name string) (*multiset.Relation, bool) {
-	r, ok := s[name]
-	return r, ok
+	o, ok := s[name]
+	if !ok {
+		return nil, false
+	}
+	return o.Relation(), true
+}
+
+// Overlay implements OverlaySource.
+func (s snapshotSource) Overlay(name string) (multiset.Overlay, bool) {
+	o, ok := s[name]
+	return o, ok
 }
 
 // snapshotScans pre-resolves every scan leaf under n through the parent
@@ -320,11 +330,11 @@ func (s snapshotSource) Relation(name string) (*multiset.Relation, bool) {
 func snapshotScans(ctx *execCtx, n Node, into snapshotSource) error {
 	if s, ok := n.(*scanNode); ok {
 		if _, done := into[s.name]; !done {
-			r, err := s.lookup(ctx)
+			o, err := s.lookup(ctx)
 			if err != nil {
 				return err
 			}
-			into[s.name] = r
+			into[s.name] = o
 		}
 	}
 	for _, c := range n.Children() {
@@ -429,11 +439,11 @@ func (j *hashJoinNode) parallelBuildTable(ctx *execCtx, gs *gangState) (*joinTab
 func leafSpan(n Node, snap snapshotSource) (int, error) {
 	switch leaf := n.(type) {
 	case *scanNode:
-		r, ok := snap[leaf.name]
+		o, ok := snap[leaf.name]
 		if !ok {
 			return 0, fmt.Errorf("plan: morsel scan %q missing from snapshot", leaf.name)
 		}
-		return r.EntrySpan(), nil
+		return o.EntrySpan(), nil
 	case *valuesNode:
 		return len(leaf.rows), nil
 	default:

@@ -29,12 +29,17 @@ type scanNode struct {
 func (s *scanNode) Children() []Node { return nil }
 func (s *scanNode) Describe() string { return "Scan " + s.name }
 
-func (s *scanNode) lookup(ctx *execCtx) (*multiset.Relation, error) {
-	r, ok := ctx.src.Relation(s.name)
-	if !ok {
-		return nil, fmt.Errorf("plan: unknown relation %q", s.name)
+// lookup resolves the scanned relation, through its pending delta when the
+// source carries one.
+func (s *scanNode) lookup(ctx *execCtx) (multiset.Overlay, error) {
+	if os, ok := ctx.src.(OverlaySource); ok {
+		if o, ok := os.Overlay(s.name); ok {
+			return o, nil
+		}
+	} else if r, ok := ctx.src.Relation(s.name); ok {
+		return multiset.NewOverlay(r, multiset.Delta{}), nil
 	}
-	return r, nil
+	return multiset.Overlay{}, fmt.Errorf("plan: unknown relation %q", s.name)
 }
 
 func (s *scanNode) run(ctx *execCtx, emit Emit) error {
@@ -45,7 +50,13 @@ func (s *scanNode) run(ctx *execCtx, emit Emit) error {
 	// Leaf streams are where long pipelines spend their time, so the scan is
 	// the scalar path's cancellation checkpoint (amortised to one poll per
 	// batchCap chunks; free on uncancellable contexts).
-	return each(r, ctx.pollingEmit(emit))
+	emit = ctx.pollingEmit(emit)
+	var iterErr error
+	r.Each(func(t tuple.Tuple, n uint64) bool {
+		iterErr = emit(t, n)
+		return iterErr == nil
+	})
+	return iterErr
 }
 
 // runBatch implements batchRunner: the relation's distinct entries are
@@ -71,13 +82,14 @@ func (s *scanNode) runBatch(ctx *execCtx, emit EmitBatch) error {
 	return iterErr
 }
 
-// result implements materializer: the clone is an O(1) copy-on-write view.
+// result implements materializer: an O(1) copy-on-write view of a relation
+// without a pending delta, one private copy of one with.
 func (s *scanNode) result(ctx *execCtx) (*multiset.Relation, error) {
 	r, err := s.lookup(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return r.Clone(), nil
+	return r.Relation(), nil
 }
 
 // valuesNode emits the rows of a literal relation, one occurrence each.

@@ -107,6 +107,17 @@ type Source interface {
 	Relation(name string) (*multiset.Relation, bool)
 }
 
+// OverlaySource is implemented by sources whose relations may carry an
+// uncommitted net delta over a base instance — transactions.  Scan leaves
+// read such a relation through its overlay, base ∸ remove ⊎ add, instead of
+// asking Relation for a materialised copy; with no pending delta the overlay
+// is the base relation itself.
+type OverlaySource interface {
+	Source
+	// Overlay returns the named relation as a view through its pending delta.
+	Overlay(name string) (multiset.Overlay, bool)
+}
+
 // Emit receives one chunk (t, n) of an operator's output stream: tuple t
 // occurs n more times.  Returning an error aborts the stream.
 type Emit func(t tuple.Tuple, n uint64) error

@@ -420,10 +420,19 @@ func (f *fakeContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	return (&eval.Engine{}).Eval(e, f.src)
 }
 
-func (f *fakeContext) Current(name string) (*multiset.Relation, bool) { return f.src.Relation(name) }
+func (f *fakeContext) Overlay(name string) (multiset.Overlay, bool) {
+	r, ok := f.src.Relation(name)
+	if !ok {
+		return multiset.Overlay{}, false
+	}
+	return multiset.NewOverlay(r, multiset.Delta{}), true
+}
 
-func (f *fakeContext) Replace(name string, r *multiset.Relation) error {
-	f.src[strings.ToLower(name)] = r
+func (f *fakeContext) ApplyDelta(name string, d multiset.Delta) error {
+	r, _ := f.src.Relation(name)
+	next := r.Clone()
+	next.ApplyDelta(d.Add, d.Remove)
+	f.src[strings.ToLower(name)] = next
 	return nil
 }
 

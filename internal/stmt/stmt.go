@@ -4,8 +4,12 @@
 // their sequential composition into programs.
 //
 // Statements execute against a Context — in practice a transaction (package
-// txn) — that provides expression evaluation, access to the current database
-// state, and the replacement operation ← used by the statement definitions.
+// txn) — that provides expression evaluation, a view of the current database
+// state, and the write operation the statement definitions reduce to.  Each
+// update-class statement computes only its own Definition 4.1 delta —
+// insert +E, delete −min(E, R), update −(R ∩ E) +π_a(R ∩ E) — probing R only
+// for the tuples of E, and hands it to the context; no statement rebuilds
+// its target relation.
 package stmt
 
 import (
@@ -16,7 +20,6 @@ import (
 	"mra/internal/algebra"
 	"mra/internal/multiset"
 	"mra/internal/scalar"
-	"mra/internal/schema"
 	"mra/internal/tuple"
 	"mra/internal/value"
 )
@@ -25,7 +28,7 @@ import (
 var ErrStatement = errors.New("statement error")
 
 // Context is the execution environment of a statement: a view of the current
-// (intermediate) database state plus the replacement and output operations.
+// (intermediate) database state plus the write and output operations.
 // Transactions implement it.
 type Context interface {
 	// Catalog resolves relation names (database relations and temporaries) to
@@ -34,11 +37,14 @@ type Context interface {
 	// Evaluate evaluates a relational expression against the current
 	// intermediate state.
 	Evaluate(e algebra.Expr) (*multiset.Relation, error)
-	// Current returns the current instance of a named relation (database
-	// relation or temporary).
-	Current(name string) (*multiset.Relation, bool)
-	// Replace implements R ← E for a database relation.
-	Replace(name string, r *multiset.Relation) error
+	// Overlay returns the current instance of a named relation (database
+	// relation or temporary) as a view that statements probe tuple by tuple;
+	// it is never materialised.
+	Overlay(name string) (multiset.Overlay, bool)
+	// ApplyDelta implements R ← (R ∸ d.Remove) ⊎ d.Add for a named relation
+	// (database relation or temporary): the removal is monus, clamped at R's
+	// current multiplicities.  Update-class statements write only through it.
+	ApplyDelta(name string, d multiset.Delta) error
 	// Assign implements the assignment statement R = E, binding a temporary
 	// relational variable visible for the remainder of the program.
 	Assign(name string, r *multiset.Relation) error
@@ -78,25 +84,26 @@ func (p Program) String() string {
 	return b.String()
 }
 
-// targetRelation resolves the target database relation of an update-class
-// statement and checks the expression's compatibility with it.
-func targetRelation(ctx Context, name string, e algebra.Expr) (*multiset.Relation, schema.Relation, error) {
-	cur, ok := ctx.Current(name)
+// targetRelation resolves the target relation of an update-class statement
+// and checks the expression's compatibility with it.
+func targetRelation(ctx Context, name string, e algebra.Expr) (multiset.Overlay, error) {
+	cur, ok := ctx.Overlay(name)
 	if !ok {
-		return nil, schema.Relation{}, fmt.Errorf("%w: unknown relation %q", ErrStatement, name)
+		return multiset.Overlay{}, fmt.Errorf("%w: unknown relation %q", ErrStatement, name)
 	}
 	es, err := e.Schema(ctx.Catalog())
 	if err != nil {
-		return nil, schema.Relation{}, err
+		return multiset.Overlay{}, err
 	}
 	if !cur.Schema().Compatible(es) {
-		return nil, schema.Relation{}, fmt.Errorf("%w: expression schema %s incompatible with relation %q %s",
+		return multiset.Overlay{}, fmt.Errorf("%w: expression schema %s incompatible with relation %q %s",
 			ErrStatement, es, name, cur.Schema())
 	}
-	return cur, cur.Schema(), nil
+	return cur, nil
 }
 
-// Insert is the statement insert(R, E): R ← R ⊎ E (Definition 4.1).
+// Insert is the statement insert(R, E): R ← R ⊎ E (Definition 4.1), written
+// as the delta +E.
 type Insert struct {
 	// Target is the database relation R.
 	Target string
@@ -106,7 +113,7 @@ type Insert struct {
 
 // Execute implements Statement.
 func (s Insert) Execute(ctx Context) error {
-	cur, _, err := targetRelation(ctx, s.Target, s.Source)
+	cur, err := targetRelation(ctx, s.Target, s.Source)
 	if err != nil {
 		return err
 	}
@@ -114,17 +121,14 @@ func (s Insert) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := multiset.Union(cur, add.WithSchema(cur.Schema()))
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return ctx.ApplyDelta(s.Target, multiset.Delta{Add: add.WithSchema(cur.Schema())})
 }
 
 // String implements Statement.
 func (s Insert) String() string { return fmt.Sprintf("insert(%s, %s)", s.Target, s.Source) }
 
-// Delete is the statement delete(R, E): R ← R − E (Definition 4.1).
+// Delete is the statement delete(R, E): R ← R − E (Definition 4.1), written
+// as the delta −E, which the context's monus turns into −min(E, R).
 type Delete struct {
 	Target string
 	Source algebra.Expr
@@ -132,7 +136,7 @@ type Delete struct {
 
 // Execute implements Statement.
 func (s Delete) Execute(ctx Context) error {
-	cur, _, err := targetRelation(ctx, s.Target, s.Source)
+	cur, err := targetRelation(ctx, s.Target, s.Source)
 	if err != nil {
 		return err
 	}
@@ -140,11 +144,7 @@ func (s Delete) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := multiset.Difference(cur, rem.WithSchema(cur.Schema()))
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return ctx.ApplyDelta(s.Target, multiset.Delta{Remove: rem.WithSchema(cur.Schema())})
 }
 
 // String implements Statement.
@@ -155,9 +155,9 @@ func (s Delete) String() string { return fmt.Sprintf("delete(%s, %s)", s.Target,
 //	R ← (R − E) ⊎ π_a(R ∩ E)
 //
 // where a is a structure-preserving extended projection list with the same
-// schema as E (Definition 4.1).  The paper's Example 4.1 — raising Guineken's
-// alcohol percentages by 10% — is an Update whose Items list is
-// (%1, %2, %3 * 1.1).
+// schema as E (Definition 4.1), written as the delta −(R ∩ E) +π_a(R ∩ E).
+// The paper's Example 4.1 — raising Guineken's alcohol percentages by 10% —
+// is an Update whose Items list is (%1, %2, %3 * 1.1).
 type Update struct {
 	// Target is the database relation R.
 	Target string
@@ -171,10 +171,11 @@ type Update struct {
 
 // Execute implements Statement.
 func (s Update) Execute(ctx Context) error {
-	cur, curSchema, err := targetRelation(ctx, s.Target, s.Selection)
+	cur, err := targetRelation(ctx, s.Target, s.Selection)
 	if err != nil {
 		return err
 	}
+	curSchema := cur.Schema()
 	if len(s.Items) != curSchema.Arity() {
 		return fmt.Errorf("%w: update list has %d items, relation %q has arity %d",
 			ErrStatement, len(s.Items), s.Target, curSchema.Arity())
@@ -198,15 +199,8 @@ func (s Update) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	sel = sel.WithSchema(curSchema)
-	remain, err := multiset.Difference(cur, sel)
-	if err != nil {
-		return err
-	}
-	hit, err := multiset.Intersection(cur, sel)
-	if err != nil {
-		return err
-	}
+	// R ∩ E, probing R only for E's tuples.
+	hit := cur.Intersect(sel)
 	// π_a(R ∩ E): the structure-preserving extended projection applied to the
 	// tuples selected for modification.
 	modified, err := multiset.Map(hit, curSchema, func(t tuple.Tuple) (tuple.Tuple, error) {
@@ -223,11 +217,7 @@ func (s Update) Execute(ctx Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := multiset.Union(remain, modified)
-	if err != nil {
-		return err
-	}
-	return ctx.Replace(s.Target, out)
+	return ctx.ApplyDelta(s.Target, multiset.Delta{Add: modified, Remove: hit})
 }
 
 // String implements Statement.

@@ -14,7 +14,7 @@ import (
 	"mra/internal/value"
 )
 
-// mockContext implements Context over a MapSource and records Replace/Assign
+// mockContext implements Context over a MapSource and records ApplyDelta/Assign
 // calls, so statements can be unit-tested without the transaction layer.
 type mockContext struct {
 	src        eval.MapSource
@@ -44,14 +44,23 @@ func (m *mockContext) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	return (&eval.Engine{}).Eval(e, m.src)
 }
 
-func (m *mockContext) Current(name string) (*multiset.Relation, bool) { return m.src.Relation(name) }
+func (m *mockContext) Overlay(name string) (multiset.Overlay, bool) {
+	r, ok := m.src.Relation(name)
+	if !ok {
+		return multiset.Overlay{}, false
+	}
+	return multiset.NewOverlay(r, multiset.Delta{}), true
+}
 
-func (m *mockContext) Replace(name string, r *multiset.Relation) error {
+func (m *mockContext) ApplyDelta(name string, d multiset.Delta) error {
 	if m.replaceErr != nil {
 		return m.replaceErr
 	}
 	m.replaced = append(m.replaced, name)
-	m.src[strings.ToLower(name)] = r
+	r, _ := m.src.Relation(name)
+	next := r.Clone()
+	next.ApplyDelta(d.Add, d.Remove)
+	m.src[strings.ToLower(name)] = next
 	return nil
 }
 

@@ -9,24 +9,6 @@ import (
 	"mra/internal/tuple"
 )
 
-// Delta is one relation's mutation as a pair of Add/Remove multisets keyed by
-// tuple hash (the shape multiset.Diff produces): committing it removes every
-// occurrence of Remove from the live instance (monus) and adds every
-// occurrence of Add.  Deltas over disjoint keys commute — the paper's bag
-// semantics makes multiset union associative and commutative — which is what
-// lets ApplyDeltas merge-install concurrent writers instead of aborting them.
-type Delta struct {
-	// Add holds the occurrences the transaction added beyond its snapshot.
-	Add *multiset.Relation
-	// Remove holds the occurrences of the snapshot the transaction removed.
-	Remove *multiset.Relation
-}
-
-// Empty reports whether the delta changes nothing.
-func (d Delta) Empty() bool {
-	return (d.Add == nil || d.Add.IsEmpty()) && (d.Remove == nil || d.Remove.IsEmpty())
-}
-
 // Key-log sizing: a relation's log is floor-pruned once it crosses
 // keyLogPruneThreshold entries, and hard-capped at keyLogMaxEntries by
 // evicting its older half (raising the pruned floor, so validation against
@@ -136,7 +118,7 @@ func (d *Database) KeyLogStats(name string) (entries int, pruned uint64) {
 // (Apply, DDL) after since conflicts unconditionally; otherwise removed keys
 // conflict with any later touch, and added keys only with a later removal —
 // concurrent additions of the same key are commuting bag unions and merge.
-func (d *Database) validateDeltaLocked(since uint64, name string, delta Delta) error {
+func (d *Database) validateDeltaLocked(since uint64, name string, delta multiset.Delta) error {
 	key := strings.ToLower(name)
 	if v := d.wholesale[key]; v > since {
 		return fmt.Errorf("%w: relation %q replaced wholesale at version %d after snapshot version %d",
@@ -253,7 +235,7 @@ func (d *Database) ValidateReads(since uint64, reads map[string]*multiset.Relati
 // concurrently where relation-granular validation would have aborted all but
 // one.  On any validation error nothing is installed and the error wraps
 // ErrVersionConflict.
-func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[string]*multiset.Relation) (Transition, error) {
+func (d *Database) ApplyDeltas(since uint64, writes map[string]multiset.Delta, reads map[string]*multiset.Relation) (Transition, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
@@ -288,7 +270,7 @@ func (d *Database) ApplyDeltas(since uint64, writes map[string]Delta, reads map[
 	v := d.version + 1
 	changed := make([]string, 0, len(keys))
 	for _, key := range keys {
-		var delta Delta
+		var delta multiset.Delta
 		for name, cand := range writes {
 			if strings.ToLower(name) == key {
 				delta = cand

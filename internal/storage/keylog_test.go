@@ -34,12 +34,12 @@ func newKeyLogDB(t *testing.T, rows int) *Database {
 }
 
 // deltaFor builds the delta replacing row (k, old) with (k, old+1).
-func deltaFor(db *Database, k, old int64) Delta {
+func deltaFor(db *Database, k, old int64) multiset.Delta {
 	s, _ := db.RelationSchema("r")
 	add, remove := multiset.New(s), multiset.New(s)
 	remove.Add(tuple.Ints(k, old), 1)
 	add.Add(tuple.Ints(k, old+1), 1)
-	return Delta{Add: add, Remove: remove}
+	return multiset.Delta{Add: add, Remove: remove}
 }
 
 func TestSnapshotReleaseIdempotent(t *testing.T) {
@@ -72,14 +72,14 @@ func TestKeyLogPruneFallsBackConservatively(t *testing.T) {
 	// Advance the relation past the old snapshot, on a key the old snapshot's
 	// hypothetical delta will NOT touch.
 	tip := db.Snapshot()
-	if _, err := db.ApplyDeltas(tip.Version(), map[string]Delta{"r": deltaFor(db, 0, 0)}, nil); err != nil {
+	if _, err := db.ApplyDeltas(tip.Version(), map[string]multiset.Delta{"r": deltaFor(db, 0, 0)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tip.Release()
 	// While old is live, pruning must not discard the entry it validates
 	// against: a disjoint-key delta from old still commits.
 	db.PruneKeyLogs()
-	if _, err := db.ApplyDeltas(old.Version(), map[string]Delta{"r": deltaFor(db, 1, 0)}, nil); err != nil {
+	if _, err := db.ApplyDeltas(old.Version(), map[string]multiset.Delta{"r": deltaFor(db, 1, 0)}, nil); err != nil {
 		t.Fatalf("disjoint-key delta from a live snapshot must commit: %v", err)
 	}
 	// Take a fresh snapshot from the same horizon, release old, prune: the
@@ -92,7 +92,7 @@ func TestKeyLogPruneFallsBackConservatively(t *testing.T) {
 	}
 	// A validator still holding the stale version must now conflict even on
 	// an untouched key — conservative, never wrong.
-	if _, err := db.ApplyDeltas(stale, map[string]Delta{"r": deltaFor(db, 3, 0)}, nil); !errors.Is(err, ErrVersionConflict) {
+	if _, err := db.ApplyDeltas(stale, map[string]multiset.Delta{"r": deltaFor(db, 3, 0)}, nil); !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("below-floor validation must degrade to relation-granular conflict, got %v", err)
 	}
 }
@@ -159,7 +159,7 @@ func TestKeyLogPruningNeverDropsLiveEntries(t *testing.T) {
 					k := int64(rng.Intn(rows))
 					since := db.Snapshot()
 					d := deltaFor(db, k, vals[k])
-					if _, err := db.ApplyDeltas(since.Version(), map[string]Delta{"r": d}, nil); err != nil {
+					if _, err := db.ApplyDeltas(since.Version(), map[string]multiset.Delta{"r": d}, nil); err != nil {
 						t.Fatalf("step %d: tip-snapshot delta must commit: %v", step, err)
 					}
 					since.Release()
@@ -223,7 +223,7 @@ func TestWholesaleReplacementConflictsAllKeys(t *testing.T) {
 	if _, err := db.Apply(map[string]*multiset.Relation{"r": fresh}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ApplyDeltas(snap.Version(), map[string]Delta{"r": deltaFor(db, 0, 0)}, nil); !errors.Is(err, ErrVersionConflict) {
+	if _, err := db.ApplyDeltas(snap.Version(), map[string]multiset.Delta{"r": deltaFor(db, 0, 0)}, nil); !errors.Is(err, ErrVersionConflict) {
 		t.Fatalf("delta across a wholesale replacement must conflict, got %v", err)
 	}
 	if err := db.ValidateReads(snap.Version(), map[string]*multiset.Relation{"r": fresh}); !errors.Is(err, ErrVersionConflict) {

@@ -34,7 +34,7 @@ func TestStatsMaintainedThroughApplyDeltas(t *testing.T) {
 			live--
 		}
 		snap := db.Snapshot()
-		if _, err := db.ApplyDeltas(snap.Version(), map[string]Delta{"r": {Add: add, Remove: remove}}, nil); err != nil {
+		if _, err := db.ApplyDeltas(snap.Version(), map[string]multiset.Delta{"r": {Add: add, Remove: remove}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		snap.Release()
@@ -97,7 +97,7 @@ func TestSnapshotStatsStable(t *testing.T) {
 	s, _ := db.RelationSchema("r")
 	add := multiset.New(s)
 	add.Add(tuple.Ints(1000, 1), 1)
-	if _, err := db.ApplyDeltas(snap.Version(), map[string]Delta{"r": {Add: add, Remove: multiset.New(s)}}, nil); err != nil {
+	if _, err := db.ApplyDeltas(snap.Version(), map[string]multiset.Delta{"r": {Add: add, Remove: multiset.New(s)}}, nil); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,15 +9,27 @@
 // installed as D_{t+1} — or aborts, in which case D_t is preserved unchanged
 // (the atomicity property: T(D) = D_t.n or T(D) = D).
 //
+// Writes are deltas from statement to storage.  Every update-class statement
+// hands the transaction its Definition 4.1 delta (insert +E, delete
+// −min(E, R), update −(R ∩ E) +π_a(R ∩ E)), and the transaction folds it into
+// one pending net Add/Remove delta per written relation (multiset.Delta.Then):
+// a removal first cancels a pending addition and an addition a pending
+// removal, so the pending delta is always exactly what diffing the relation's
+// current state against its snapshot would give — the paper's bag semantics
+// makes a transaction's effect on a relation exactly such a pair.  Reads
+// inside the transaction see snapshot ∸ remove ⊎ add through an overlay at
+// the plan's scan leaves (multiset.Overlay, plan.OverlaySource), and schema,
+// cardinality and statement probes read the same overlay, so the
+// transaction's own statements never copy a relation before commit.
+//
 // Isolation is multi-version snapshot isolation with key-granular validation:
 // Begin captures a copy-on-write snapshot of the database (O(1) per
-// relation), every read of the transaction resolves against that snapshot,
-// and Commit diffs the transaction's workspace against the snapshot into
-// Add/Remove delta multisets (the paper's bag semantics makes a transaction's
-// effect on a relation exactly such a pair).  First-committer-wins validation
-// then runs per tuple key (hash) against the storage engine's recent-writer
-// key log: concurrent writers of the same relation conflict only when their
-// deltas actually touch overlapping keys, and deltas that commute — disjoint
+// relation), every read of the transaction resolves against that snapshot
+// plus its own pending deltas, and Commit hands the pending deltas straight
+// to the storage engine.  First-committer-wins validation runs per tuple key
+// (hash) against the storage engine's recent-writer key log: concurrent
+// writers of the same relation conflict only when their deltas actually
+// touch overlapping keys, and deltas that commute — disjoint
 // keys, or pure additions of the same key (bag union is commutative) —
 // merge-install without aborting.  Readers never block writers or each other.
 //
@@ -148,7 +160,7 @@ func (m *Manager) BeginTx(opts TxOptions) *Tx {
 		snap:         m.db.Snapshot(),
 		serializable: opts.Serializable,
 		engine:       &eval.Engine{Workers: workers, MemoryLimit: memLimit},
-		workspace:    make(map[string]*multiset.Relation),
+		pending:      make(map[string]*pendingWrite),
 		temps:        make(map[string]*multiset.Relation),
 		reads:        make(map[string]struct{}),
 	}
@@ -224,8 +236,9 @@ type Tx struct {
 	// with ctx.Err().  nil means Background.
 	ctx context.Context
 
-	// workspace holds modified database relations (copy-on-write).
-	workspace map[string]*multiset.Relation
+	// pending holds, per database relation the transaction wrote, the net
+	// delta of the statements so far against its snapshot instance.
+	pending map[string]*pendingWrite
 	// temps holds temporary relations created by assignment statements.
 	temps map[string]*multiset.Relation
 	// reads records database relations read or written, for commit validation.
@@ -269,30 +282,81 @@ func (t *Tx) Outputs() []*multiset.Relation {
 	return out
 }
 
-// Relation implements eval.Source over the transaction's intermediate state:
-// temporaries shadow workspace copies, which shadow the snapshot captured at
-// Begin.  Reads never touch the live database, so a long-running reader is
-// invisible to concurrent writers.
-func (t *Tx) Relation(name string) (*multiset.Relation, bool) {
+// resolve returns a named relation of the transaction's intermediate state
+// as an overlay view: temporaries shadow written database relations (read
+// through their pending delta), which shadow the snapshot captured at Begin.
+// Reads never touch the live database, so a long-running reader is invisible
+// to concurrent writers.  Snapshot relations are recorded as read.
+func (t *Tx) resolve(name string) (multiset.Overlay, bool) {
 	key := strings.ToLower(name)
 	if r, ok := t.temps[key]; ok {
-		return r, true
+		return multiset.NewOverlay(r, multiset.Delta{}), true
 	}
-	if r, ok := t.workspace[key]; ok {
-		return r, true
+	if w, ok := t.pending[key]; ok {
+		return w.overlay(), true
 	}
 	r, ok := t.snap.Relation(name)
-	if ok {
-		t.reads[key] = struct{}{}
+	if !ok {
+		return multiset.Overlay{}, false
 	}
-	return r, ok
+	t.reads[key] = struct{}{}
+	return multiset.NewOverlay(r, multiset.Delta{}), true
 }
 
-// TableStats implements plan.TableStatsSource (via eval's source adapter)
-// over the snapshot captured at Begin, so queries inside the transaction plan
-// against the statistics of the version they read.  Local analyzes shadow the
-// snapshot; statistics are advisory planner input, so workspace modifications
-// merely make them slightly stale until commit.
+// Relation implements eval.Source over the transaction's intermediate state.
+// A relation the transaction changed is materialised into a private copy;
+// the transaction's own planning, scans and statements read it through
+// Overlay instead and never pay that copy.
+func (t *Tx) Relation(name string) (*multiset.Relation, bool) {
+	o, ok := t.resolve(name)
+	if !ok {
+		return nil, false
+	}
+	if r, ok := o.Plain(); ok {
+		return r, true
+	}
+	return o.Relation(), true
+}
+
+// Overlay implements plan.OverlaySource and stmt.Context: scan leaves and
+// statement probes read a written relation as snapshot ∸ remove ⊎ add
+// without materialising it.
+func (t *Tx) Overlay(name string) (multiset.Overlay, bool) { return t.resolve(name) }
+
+// RelationSchema implements algebra.Catalog over the intermediate state.
+func (t *Tx) RelationSchema(name string) (schema.Relation, bool) {
+	o, ok := t.resolve(name)
+	if !ok {
+		return schema.Relation{}, false
+	}
+	return o.Schema(), true
+}
+
+// RelationCardinality implements plan.CardinalitySource: the snapshot count
+// of a written relation minus its pending removals plus its pending additions.
+func (t *Tx) RelationCardinality(name string) (uint64, bool) {
+	o, ok := t.resolve(name)
+	if !ok {
+		return 0, false
+	}
+	return o.Cardinality(), true
+}
+
+// RelationDistinctCount implements plan.DistinctCardinalitySource over the
+// same views as RelationCardinality.
+func (t *Tx) RelationDistinctCount(name string) (int, bool) {
+	o, ok := t.resolve(name)
+	if !ok {
+		return 0, false
+	}
+	return o.DistinctCount(), true
+}
+
+// TableStats implements plan.TableStatsSource over the snapshot captured at
+// Begin, so queries inside the transaction plan against the statistics of
+// the version they read.  Local analyzes shadow the snapshot; statistics are
+// advisory planner input, so pending writes merely make them slightly stale
+// until commit.
 func (t *Tx) TableStats(name string) (*stats.Table, bool) {
 	if t.localStats != nil {
 		if st, ok := t.localStats[strings.ToLower(name)]; ok {
@@ -304,7 +368,7 @@ func (t *Tx) TableStats(name string) (*stats.Table, bool) {
 
 // AnalyzeRelation implements the optional statement hook behind the ANALYZE
 // statement: it rebuilds statistics for the named relation from the
-// transaction's own view (temporaries and workspace included) and installs
+// transaction's own view (temporaries and pending writes included) and installs
 // them both transaction-locally and — because statistics are advisory
 // metadata, not versioned data — into the live database when the relation is
 // an unmodified database relation, so later transactions benefit without an
@@ -326,7 +390,7 @@ func (t *Tx) AnalyzeRelation(name string) error {
 	}
 	key := strings.ToLower(name)
 	if _, ok := t.temps[key]; !ok {
-		if _, ok := t.workspace[key]; !ok {
+		if _, ok := t.pending[key]; !ok {
 			// Unmodified database relation: analyze the live instance so the
 			// summary outlives this transaction.
 			st, err := t.mgr.db.Analyze(name)
@@ -351,37 +415,60 @@ func (t *Tx) AnalyzeRelation(name string) error {
 	return nil
 }
 
-// Catalog implements stmt.Context.
-func (t *Tx) Catalog() algebra.Catalog { return txCatalog{t} }
-
-// txCatalog resolves schemas against the transaction's intermediate state.
-type txCatalog struct{ t *Tx }
-
-// RelationSchema implements algebra.Catalog.
-func (c txCatalog) RelationSchema(name string) (schema.Relation, bool) {
-	r, ok := c.t.Relation(name)
-	if !ok {
-		return schema.Relation{}, false
-	}
-	return r.Schema(), true
-}
+// Catalog implements stmt.Context: the transaction resolves schemas against
+// its own intermediate state.
+func (t *Tx) Catalog() algebra.Catalog { return t }
 
 // Evaluate implements stmt.Context.
 func (t *Tx) Evaluate(e algebra.Expr) (*multiset.Relation, error) {
 	if t.state != StateActive {
 		return nil, ErrDone
 	}
-	if err := algebra.Validate(e, t.Catalog()); err != nil {
+	if err := algebra.Validate(e, t); err != nil {
 		return nil, err
 	}
 	return t.engine.EvalContext(t.Context(), e, t)
 }
 
-// Current implements stmt.Context.
-func (t *Tx) Current(name string) (*multiset.Relation, bool) { return t.Relation(name) }
+// ApplyDelta implements stmt.Context: R ← (R ∸ d.Remove) ⊎ d.Add.  On a
+// database relation the step is folded into the relation's pending net delta
+// in O(|d|) and buffered until commit (the read view is rebuilt on the next
+// read, see pendingWrite); a temporary is rebuilt.
+func (t *Tx) ApplyDelta(name string, d multiset.Delta) error {
+	if t.state != StateActive {
+		return ErrDone
+	}
+	key := strings.ToLower(name)
+	if r, isTemp := t.temps[key]; isTemp {
+		next := r.Clone()
+		next.ApplyDelta(d.Add, d.Remove)
+		t.temps[key] = next
+		return nil
+	}
+	base, ok := t.snap.Relation(name)
+	if !ok {
+		return fmt.Errorf("%w: %q", storage.ErrNoSuchRelation, name)
+	}
+	for _, side := range []*multiset.Relation{d.Add, d.Remove} {
+		if side != nil && !base.Schema().Compatible(side.Schema()) {
+			return fmt.Errorf("%w: relation %q expects %s, got %s", storage.ErrSchemaMismatch, name, base.Schema(), side.Schema())
+		}
+	}
+	t.reads[key] = struct{}{}
+	w, ok := t.pending[key]
+	if !ok {
+		w = &pendingWrite{base: base}
+		t.pending[key] = w
+	}
+	w.delta.Then(base, d)
+	w.view = nil
+	return nil
+}
 
-// Replace implements stmt.Context: R ← E on a database relation, buffered in
-// the transaction's workspace until commit.
+// Replace performs R ← r wholesale on a relation: a temporary is rebound, and
+// a database relation's pending delta becomes the difference between its
+// snapshot instance and r — an O(|R|) diff, for callers that rebuild whole
+// relations; statements write through ApplyDelta.
 func (t *Tx) Replace(name string, r *multiset.Relation) error {
 	if t.state != StateActive {
 		return ErrDone
@@ -391,16 +478,37 @@ func (t *Tx) Replace(name string, r *multiset.Relation) error {
 		t.temps[key] = r
 		return nil
 	}
-	cur, ok := t.snap.Relation(name)
+	base, ok := t.snap.Relation(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", storage.ErrNoSuchRelation, name)
 	}
-	if !cur.Schema().Compatible(r.Schema()) {
-		return fmt.Errorf("%w: relation %q expects %s, got %s", storage.ErrSchemaMismatch, name, cur.Schema(), r.Schema())
+	if !base.Schema().Compatible(r.Schema()) {
+		return fmt.Errorf("%w: relation %q expects %s, got %s", storage.ErrSchemaMismatch, name, base.Schema(), r.Schema())
 	}
 	t.reads[key] = struct{}{}
-	t.workspace[key] = r.WithSchema(cur.Schema())
+	add, remove := multiset.Diff(base, r.WithSchema(base.Schema()))
+	t.pending[key] = &pendingWrite{base: base, delta: multiset.Delta{Add: add, Remove: remove}}
 	return nil
+}
+
+// pendingWrite is one written database relation: its snapshot instance and
+// the net delta of the transaction's statements against it.  The read view
+// is built lazily, once per read after a write: building it probes the whole
+// pending delta, which a run of writes with no read in between never pays.
+type pendingWrite struct {
+	base  *multiset.Relation
+	delta multiset.Delta
+	// view is base read through delta; nil when a write has outdated it.
+	view *multiset.Overlay
+}
+
+// overlay returns the relation as the transaction sees it.
+func (w *pendingWrite) overlay() multiset.Overlay {
+	if w.view == nil {
+		v := multiset.NewOverlay(w.base, w.delta)
+		w.view = &v
+	}
+	return *w.view
 }
 
 // Assign implements stmt.Context: binds a temporary relational variable.  The
@@ -436,10 +544,12 @@ func (t *Tx) Run(p stmt.Program) error {
 	return p.Execute(t)
 }
 
-// Commit ends the transaction: temporary relations are discarded, the
-// transaction's effect on every modified database relation is diffed against
-// its snapshot into an Add/Remove delta multiset, and the deltas are
-// merge-installed atomically as D_{t+1}, advancing the logical time.
+// Commit ends the transaction: temporary relations are discarded, and the
+// pending net delta of every written database relation — accumulated
+// statement by statement, already exactly the Add/Remove difference between
+// the relation's current state and its snapshot — is merge-installed
+// atomically as D_{t+1}, advancing the logical time.  Commit never compares
+// whole relations.
 // Validation is first-committer-wins per tuple key: Commit aborts with
 // ErrConflict only when a concurrent transaction committed a change to a key
 // this transaction's delta removes (or, for keys it only adds, a concurrent
@@ -447,23 +557,19 @@ func (t *Tx) Run(p stmt.Program) error {
 // Writers touching disjoint keys of the same relation commit concurrently.
 // Validation and installation are one atomic step in the storage engine, so
 // of two racing committers of a genuinely conflicting key exactly one wins.
-// A transaction whose workspace ends up identical to its snapshot commits as
-// read-only: no transition, no logical-time advance.
+// A transaction whose writes cancel out — an insert deleted again, an update
+// updated back — commits as read-only: no transition, no logical-time
+// advance, no key-log entry.
 func (t *Tx) Commit() error {
 	if t.state != StateActive {
 		return ErrDone
 	}
 	defer t.snap.Release()
-	writes := make(map[string]storage.Delta, len(t.workspace))
-	for name, next := range t.workspace {
-		base, ok := t.snap.Relation(name)
-		if !ok {
-			// Replace validated existence against the snapshot, so this cannot
-			// happen; keep the delta empty and let storage report the name.
-			base = multiset.New(next.Schema())
-		}
-		add, remove := multiset.Diff(base, next)
-		writes[name] = storage.Delta{Add: add, Remove: remove}
+	writes := make(map[string]multiset.Delta, len(t.pending))
+	allEmpty := true
+	for name, w := range t.pending {
+		writes[name] = w.delta
+		allEmpty = allEmpty && w.delta.Empty()
 	}
 	var readSets map[string]*multiset.Relation
 	if t.serializable {
@@ -472,13 +578,6 @@ func (t *Tx) Commit() error {
 			if observed, ok := t.snap.Relation(name); ok {
 				readSets[name] = observed
 			}
-		}
-	}
-	allEmpty := true
-	for _, delta := range writes {
-		if !delta.Empty() {
-			allEmpty = false
-			break
 		}
 	}
 	var err error
@@ -511,6 +610,6 @@ func (t *Tx) Abort() {
 	}
 	t.state = StateAborted
 	t.snap.Release()
-	t.workspace = nil
+	t.pending = nil
 	t.temps = nil
 }
